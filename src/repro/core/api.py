@@ -445,6 +445,7 @@ class LightRW:
             restart_alpha=restart_alpha,
             seed=self.seed,
             trace=trace,
+            use_wrs=self.config.use_wrs,
         )
 
     def _execute(
@@ -515,6 +516,8 @@ class LightRW:
                 config=self.config,
                 graph_name=getattr(self.graph, "name", "") or "",
                 failures=outcome.failures,
+                walk_kernel=report.walk_kernel,
+                walk_kernel_fallback=report.walk_kernel_fallback,
             ),
             failures=outcome.failures,
             strict=strict,

@@ -67,6 +67,12 @@ class RunManifest:
     #: Shard failures of a degraded run, as JSON-ready dicts (shard index,
     #: query-id range, error type, attempts); empty for healthy runs.
     failures: tuple = ()
+    #: Which functional walk implementation ran: ``"c"`` (the fused step
+    #: kernel) or ``"numpy"``; ``None`` when the backend does not run the
+    #: functional stepper (the cycle simulator).
+    walk_kernel: str | None = None
+    #: Why the numpy walk ran instead of the C kernel (empty otherwise).
+    walk_kernel_fallback: str = ""
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -79,6 +85,8 @@ def build_manifest(
     config: Any,
     graph_name: str,
     failures: "Sequence[ShardFailure]" = (),
+    walk_kernel: str | None = None,
+    walk_kernel_fallback: str = "",
 ) -> RunManifest:
     """Assemble the manifest for one planned run."""
     from repro import __version__
@@ -97,4 +105,6 @@ def build_manifest(
         host=platform.node(),
         python_version=platform.python_version(),
         failures=tuple(f.as_dict() for f in failures),
+        walk_kernel=walk_kernel,
+        walk_kernel_fallback=walk_kernel_fallback,
     )

@@ -82,6 +82,9 @@ class BackendCapabilities:
     compare_in_benchmarks: bool = False
     #: Hard cap on the functional batch size (None = unlimited).
     max_batch_queries: int | None = None
+    #: Can the backend model the table-based sampler ablation
+    #: (``LightRWConfig.use_wrs=False``)?
+    supports_table_sampler: bool = True
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,10 @@ class BackendReport:
     query_latency_s: np.ndarray | None = None
     session: WalkSession | None = None
     notes: dict = field(default_factory=dict)
+    #: Functional walk implementation, ``"c"`` or ``"numpy"`` (from the
+    #: session; kept when a checkpoint drops the session), or ``None``.
+    walk_kernel: str | None = None
+    walk_kernel_fallback: str = ""
 
 
 class Backend(abc.ABC):
@@ -160,6 +167,8 @@ class Backend(abc.ABC):
                 else None
             ),
             session=_merge_sessions([r.session for r in reports]),
+            walk_kernel=reports[0].walk_kernel,
+            walk_kernel_fallback=reports[0].walk_kernel_fallback,
         )
 
 
@@ -190,6 +199,8 @@ def _merge_sessions(sessions: Sequence[WalkSession | None]) -> WalkSession | Non
         paths=paths,
         lengths=np.concatenate([s.lengths for s in parts]),
         records=records,
+        kernel=parts[0].kernel,
+        kernel_fallback=parts[0].kernel_fallback,
     )
 
 
@@ -326,6 +337,8 @@ class FPGAModelBackend(Backend):
                 native.query_latency_seconds() if plan.record_latency else None
             ),
             session=session,
+            walk_kernel=session.kernel,
+            walk_kernel_fallback=session.kernel_fallback,
         )
 
 
@@ -349,6 +362,8 @@ class FPGACycleBackend(Backend):
         thread_safe=False,
         uses_pcie=True,
         max_batch_queries=4096,
+        # The simulator models the streaming WRS pipeline only.
+        supports_table_sampler=False,
     )
 
     def execute(self, plan: "ExecutionPlan", shard: "QueryShard") -> BackendReport:
@@ -457,4 +472,6 @@ class CPUBaselineBackend(Backend):
                 else None
             ),
             session=session,
+            walk_kernel=session.kernel,
+            walk_kernel_fallback=session.kernel_fallback,
         )

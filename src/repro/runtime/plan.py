@@ -120,11 +120,15 @@ def plan_run(
     max_cycles: int = 50_000_000,
     seed: int = 0,
     trace: bool = False,
+    use_wrs: bool = True,
 ) -> ExecutionPlan:
     """Validate a run request and lay out its execution.
 
     Raises :class:`ConfigError` early — before any walk or simulation
     starts — when the request exceeds what the backend declares it can do.
+    ``use_wrs`` is the accelerator configuration's sampler choice
+    (``LightRWConfig.use_wrs``), checked against the backend's
+    ``supports_table_sampler``.
     """
     with span("plan", backend=backend, algorithm=algorithm.name):
         backend_cls = resolve_backend(backend)
@@ -133,6 +137,12 @@ def plan_run(
 
         if shards < 1:
             raise ConfigError(f"shards must be >= 1, got {shards}")
+        if not use_wrs and not caps.supports_table_sampler:
+            raise ConfigError(
+                f"backend {backend!r} models the streaming WRS sampler only; "
+                "evaluate the table-based ablation (use_wrs=False) on the "
+                "'fpga-model' backend"
+            )
         if restart_alpha is not None and not caps.supports_restart:
             raise ConfigError(
                 f"restart walks are supported on the fpga-model backend, "

@@ -17,7 +17,9 @@ A failed shard never aborts its siblings.  Each shard runs under the
 scheduler's :class:`RetryPolicy` (attempt budget, exponential backoff
 with deterministic jitter, optional per-attempt timeout) and a shard that
 exhausts its attempts becomes a structured :class:`ShardFailure` instead
-of an exception tearing down the pool.  What happens next is the
+of an exception tearing down the pool.  A library error
+(:class:`~repro.errors.ReproError`, other than a timeout) is deterministic
+and is not retried.  What happens next is the
 ``strict`` flag's choice:
 
 * ``strict=True`` (default) — any failure raises
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError, ShardExecutionError, ShardTimeoutError
+from repro.errors import ConfigError, ReproError, ShardExecutionError, ShardTimeoutError
 from repro.obs import (
     Observer,
     current_observer,
@@ -122,6 +124,17 @@ class RetryPolicy:
     def retries(self) -> int:
         return self.max_attempts - 1
 
+    @staticmethod
+    def retryable(exc: BaseException) -> bool:
+        """Whether another attempt could succeed where ``exc`` was raised.
+
+        A library error (:class:`~repro.errors.ReproError`: bad
+        configuration, bad query, a stalled simulation) is deterministic:
+        the same shard fails the same way again, so it gets one attempt.
+        A timeout is the exception — the next attempt may be faster.
+        """
+        return not isinstance(exc, ReproError) or isinstance(exc, ShardTimeoutError)
+
     def backoff_s(self, shard: int, attempt: int) -> float:
         """Deterministic delay before ``attempt`` (>= 2) of ``shard``."""
         if attempt <= 1 or self.backoff_base_s <= 0:
@@ -151,7 +164,8 @@ class ShardFailure:
     error_type: str
     #: Exception message of the final attempt.
     message: str
-    #: Attempts consumed (== the policy's ``max_attempts``).
+    #: Attempts consumed: the policy's ``max_attempts``, or 1 for a
+    #: deterministic library error (see :meth:`RetryPolicy.retryable`).
     attempts: int
     #: True when the final attempt hit the per-shard timeout.
     timed_out: bool = False
@@ -413,11 +427,6 @@ class BatchScheduler:
                         parent_id=shard_span.span_id,
                         offset_s=shard_span.start_s,
                     )
-            if obs.enabled:
-                record_shard(
-                    obs.metrics, report.breakdown,
-                    backend=backend.name, shard=shard.index,
-                )
             return report
 
         def attempt_shard(shard: QueryShard, attempt: int) -> BackendReport:
@@ -432,13 +441,7 @@ class BatchScheduler:
                     "shard", backend=backend.name, shard=shard.index,
                     queries=shard.num_queries, attempt=attempt,
                 ):
-                    report = backend.execute(plan, shard)
-                if obs.enabled:
-                    record_shard(
-                        obs.metrics, report.breakdown,
-                        backend=backend.name, shard=shard.index,
-                    )
-                return report
+                    return backend.execute(plan, shard)
 
             if policy.shard_timeout_s is None:
                 return call()
@@ -466,7 +469,17 @@ class BatchScheduler:
                         shard.index, attempt, policy.max_attempts,
                         backend.name, type(exc).__name__, exc,
                     )
+                    if not policy.retryable(exc):
+                        break
                 else:
+                    # Only the accepted attempt is counted: a timed-out
+                    # attempt still running on its watchdog thread must
+                    # not add its shard's counters a second time.
+                    if obs.enabled:
+                        record_shard(
+                            obs.metrics, report.breakdown,
+                            backend=backend.name, shard=shard.index,
+                        )
                     if checkpoint is not None:
                         try:
                             checkpoint.record_shard(shard.index, report)
@@ -489,10 +502,10 @@ class BatchScheduler:
                 num_queries=shard.num_queries,
                 error_type=type(last).__name__,
                 message=str(last),
-                attempts=policy.max_attempts,
+                attempts=attempt,
                 timed_out=isinstance(last, ShardTimeoutError),
             )
-            return failure, policy.max_attempts
+            return failure, attempt
 
         pending = [shard for shard in shards if shard.index not in restored]
         if mode == "process" and len(pending) > 1:

@@ -88,18 +88,29 @@ class StepContext:
     def edges_exist(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorized ``(u, v) in E`` over aligned source/target arrays.
 
-        Exploits the global sortedness of the CSR edge keys (col_index is
-        sorted within rows laid out in row order), giving one
-        ``searchsorted`` for the entire batch.
+        With the C step kernel (:mod:`repro.walks.kernel`) each pair is a
+        search bounded to ``u``'s sorted row.  The numpy fallback exploits
+        the global sortedness of the CSR edge keys (col_index is sorted
+        within rows laid out in row order), giving one ``searchsorted``
+        for the entire batch.
         """
         if self.edge_keys_sorted is None:
             raise ValueError("StepContext was built without edge keys")
+        from repro.walks.kernel import edges_exist  # the kernel module imports this one
+
+        found = edges_exist(self.graph, sources, targets)
+        if found is not None:
+            return found
         n = np.int64(self.graph.num_vertices)
-        keys = np.asarray(sources, dtype=np.int64) * n + np.asarray(targets, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        keys = sources * n + targets
         pos = np.searchsorted(self.edge_keys_sorted, keys)
         pos_clipped = np.minimum(pos, self.edge_keys_sorted.size - 1)
         found = self.edge_keys_sorted[pos_clipped] == keys
         found &= pos < self.edge_keys_sorted.size
+        # An out-of-range endpoint's key would alias an edge of another row.
+        found &= (sources >= 0) & (sources < n) & (targets >= 0) & (targets < n)
         return found
 
 

@@ -22,6 +22,7 @@ from repro.errors import QueryError
 from repro.graph.csr import CSRGraph
 from repro.sampling.rng import derive_seed
 from repro.walks.base import StepContext, WalkAlgorithm
+from repro.walks.kernel import bind_step
 from repro.walks.stepper import (
     PWRSSampler,
     StepRecord,
@@ -82,6 +83,9 @@ def run_restart_walks(
 
     sampler = PWRSSampler(k=k, seed=seed)
     sampler.attach(n_queries, query_ids)
+    fused, kernel_fallback = bind_step(
+        graph, algorithm, sampler._lane_keys, sampler._counters, sampler.k
+    )
     coin_keys = _query_lane_keys(derive_seed(seed, 0x9E57A97), query_ids, 1)[:, 0]
     coin_counters = np.zeros(n_queries, dtype=np.uint64)
 
@@ -116,7 +120,9 @@ def run_restart_walks(
         next_vertices[restart] = starts[active[restart]]
 
         walkers = active[~restart]
-        if walkers.size:
+        if walkers.size and fused is not None:
+            next_vertices[~restart] = fused(step, walkers, curr[walkers])
+        elif walkers.size:
             a_curr = curr[walkers]
             a_deg = degrees[a_curr]
             seg_starts = np.zeros(walkers.size, dtype=np.int64)
@@ -180,6 +186,8 @@ def run_restart_walks(
         paths=paths,
         lengths=lengths,
         records=records,
+        kernel="numpy" if fused is None else "c",
+        kernel_fallback=kernel_fallback,
     )
 
 

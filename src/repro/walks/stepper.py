@@ -15,6 +15,11 @@ Sampler strategies
 * :class:`InverseTransformSampler` — ThunderRW's configured method: one
   uniform per step, binary search in the per-step CDF table.
 
+With a :class:`PWRSSampler` and a built-in algorithm, each step's expand,
+weights and select passes run as one call into the fused C kernel of
+:mod:`repro.walks.kernel`, which is bit-identical to them; the numpy
+passes below remain the reference and the fallback.
+
 Per-query randomness
 --------------------
 Each query ``q`` draws from its own lane family, keyed by
@@ -36,6 +41,7 @@ from repro.graph.csr import CSRGraph
 from repro.sampling.parallel_wrs import ParallelWRS, integer_accept
 from repro.sampling.rng import ThundeRingRNG, derive_seed, splitmix64
 from repro.walks.base import StepContext, WalkAlgorithm, quantize_weights
+from repro.walks.kernel import bind_step
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -202,6 +208,11 @@ class WalkSession:
     paths: np.ndarray  # (Q, max_steps + 1), -1 padded
     lengths: np.ndarray  # steps actually taken per query
     records: list[StepRecord] = field(default_factory=list)
+    #: Which implementation walked: ``"c"`` (the fused step kernel, see
+    #: :mod:`repro.walks.kernel`) or ``"numpy"`` (the vectorized oracle).
+    kernel: str = "numpy"
+    #: Why the numpy path ran (empty when the kernel did).
+    kernel_fallback: str = ""
 
     @property
     def num_queries(self) -> int:
@@ -275,14 +286,20 @@ def run_walks(
     alive = np.ones(n_queries, dtype=bool)
     records: list[StepRecord] = []
 
-    edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
+    fused, kernel_fallback = None, f"the {sampler.name} sampler has no fused kernel"
+    if type(sampler) is PWRSSampler:
+        fused, kernel_fallback = bind_step(
+            graph, algorithm, sampler._lane_keys, sampler._counters, sampler.k
+        )
     row_index = graph.row_index
     all_degrees = graph.degrees
-    # Hot-path dtype staging: one conversion per run instead of one per step.
-    col_index64 = graph.col_index.astype(np.int64)
-    edge_weights64 = (
-        graph.edge_weights.astype(np.float64) if graph.edge_weights is not None else None
-    )
+    if fused is None:
+        edge_keys = graph.edge_keys() if algorithm.needs_edge_keys() else None
+        # Hot-path dtype staging: one conversion per run instead of one per step.
+        col_index64 = graph.col_index.astype(np.int64)
+        edge_weights64 = (
+            graph.edge_weights.astype(np.float64) if graph.edge_weights is not None else None
+        )
 
     for step in range(n_steps):
         active = np.nonzero(alive)[0]
@@ -299,41 +316,45 @@ def run_walks(
                 break
             a_curr = curr[active]
             a_deg = all_degrees[a_curr]
+        a_prev = prev[active]
 
-        seg_starts = np.zeros(active.size, dtype=np.int64)
-        np.cumsum(a_deg[:-1], out=seg_starts[1:])
-        n_edges = int(a_deg.sum())
-        edge_query = np.repeat(np.arange(active.size, dtype=np.int64), a_deg)
-        within = np.arange(n_edges, dtype=np.int64) - np.repeat(seg_starts, a_deg)
-        edge_positions = np.repeat(row_index[a_curr], a_deg) + within
-        dst = col_index64[edge_positions]
-        static_w = (
-            edge_weights64[edge_positions]
-            if edge_weights64 is not None
-            else np.ones(n_edges, dtype=np.float64)
-        )
+        if fused is not None:
+            next_vertices = fused(step, active, a_curr, a_prev)
+        else:
+            seg_starts = np.zeros(active.size, dtype=np.int64)
+            np.cumsum(a_deg[:-1], out=seg_starts[1:])
+            n_edges = int(a_deg.sum())
+            edge_query = np.repeat(np.arange(active.size, dtype=np.int64), a_deg)
+            within = np.arange(n_edges, dtype=np.int64) - np.repeat(seg_starts, a_deg)
+            edge_positions = np.repeat(row_index[a_curr], a_deg) + within
+            dst = col_index64[edge_positions]
+            static_w = (
+                edge_weights64[edge_positions]
+                if edge_weights64 is not None
+                else np.ones(n_edges, dtype=np.float64)
+            )
 
-        ctx = StepContext(
-            graph=graph,
-            step=step,
-            curr=a_curr,
-            prev=prev[active],
-            degrees=a_deg,
-            seg_starts=seg_starts,
-            edge_query=edge_query,
-            dst=dst,
-            static_weights=static_w,
-            edge_positions=edge_positions,
-            edge_keys_sorted=edge_keys,
-        )
-        weights = algorithm.dynamic_weights(ctx)
-        chosen = sampler.select(ctx, weights, active)
+            ctx = StepContext(
+                graph=graph,
+                step=step,
+                curr=a_curr,
+                prev=a_prev,
+                degrees=a_deg,
+                seg_starts=seg_starts,
+                edge_query=edge_query,
+                dst=dst,
+                static_weights=static_w,
+                edge_positions=edge_positions,
+                edge_keys_sorted=edge_keys,
+            )
+            weights = algorithm.dynamic_weights(ctx)
+            chosen = sampler.select(ctx, weights, active)
 
-        sampled = chosen >= 0
-        next_vertices = np.full(active.size, -1, dtype=np.int64)
-        if np.any(sampled):
-            flat = seg_starts[sampled] + chosen[sampled]
-            next_vertices[sampled] = dst[flat]
+            next_vertices = np.full(active.size, -1, dtype=np.int64)
+            hit = chosen >= 0
+            if np.any(hit):
+                next_vertices[hit] = dst[seg_starts[hit] + chosen[hit]]
+        sampled = next_vertices >= 0
 
         if record_trace:
             records.append(
@@ -342,9 +363,9 @@ def run_walks(
                     query_ids=active.copy(),
                     curr=a_curr.copy(),
                     degrees=a_deg.astype(np.int64),
-                    prev=prev[active].copy(),
+                    prev=a_prev.copy(),
                     prev_degrees=np.where(
-                        prev[active] >= 0, all_degrees[np.maximum(prev[active], 0)], 0
+                        a_prev >= 0, all_degrees[np.maximum(a_prev, 0)], 0
                     ).astype(np.int64),
                     next_vertex=next_vertices.copy(),
                 )
@@ -365,6 +386,8 @@ def run_walks(
         paths=paths,
         lengths=lengths,
         records=records,
+        kernel="numpy" if fused is None else "c",
+        kernel_fallback=kernel_fallback,
     )
 
 

@@ -16,7 +16,7 @@ fixed-function accelerator with host-side filtering would be used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,12 +124,4 @@ def apply_termination(
     paths = session.paths.copy()
     columns = np.arange(paths.shape[1])
     paths[columns[None, :] > cutoffs[:, None]] = -1
-    return WalkSession(
-        graph=session.graph,
-        algorithm=session.algorithm,
-        sampler=session.sampler,
-        starts=session.starts,
-        paths=paths,
-        lengths=cutoffs,
-        records=session.records,
-    )
+    return replace(session, paths=paths, lengths=cutoffs)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ import pytest
 from repro import LightRW, Observer
 from repro.cli import main as cli_main
 from repro.core.queries import make_queries
-from repro.errors import ConfigError, ShardExecutionError
+from repro.errors import ConfigError, QueryError, ShardExecutionError
+from repro.fpga.config import LightRWConfig
+from repro.obs import use_observer
 from repro.runtime import (
+    Backend,
     BatchScheduler,
     FaultInjectionBackend,
     InjectedFault,
@@ -338,3 +343,128 @@ def test_injected_fault_error_is_not_a_repro_error():
     from repro.errors import ReproError
 
     assert not issubclass(InjectedFaultError, ReproError)
+
+
+class _SlowFirstAttempt(Backend):
+    """Healthy backend whose first attempt at shard 0 outlives the timeout.
+
+    The stale attempt completes normally on its watchdog thread after the
+    retry has been accepted; ``stale_done`` is set once it has returned.
+    """
+
+    def __init__(self, inner: Backend, delay_s: float) -> None:
+        self.inner = inner
+        self.context = inner.context
+        self.delay_s = delay_s
+        self.stale_done = threading.Event()
+        self._first = True
+        self._lock = threading.Lock()
+
+    name = property(lambda self: self.inner.name)
+    capabilities = property(lambda self: self.inner.capabilities)
+
+    def execute(self, plan, shard):
+        with self._lock:
+            stale = shard.index == 0 and self._first
+            if stale:
+                self._first = False
+        if not stale:
+            return self.inner.execute(plan, shard)
+        try:
+            time.sleep(self.delay_s)
+            return self.inner.execute(plan, shard)
+        finally:
+            self.stale_done.set()
+
+    def merge(self, plan, reports):
+        return self.inner.merge(plan, reports)
+
+
+class _RaisesOnShard(Backend):
+    """Raises ``error`` on every attempt at shard 1, counting the attempts."""
+
+    def __init__(self, inner: Backend, error: Exception) -> None:
+        self.inner = inner
+        self.context = inner.context
+        self.error = error
+        self.attempts = 0
+
+    name = property(lambda self: self.inner.name)
+    capabilities = property(lambda self: self.inner.capabilities)
+
+    def execute(self, plan, shard):
+        if shard.index == 1:
+            self.attempts += 1
+            raise self.error
+        return self.inner.execute(plan, shard)
+
+    def merge(self, plan, reports):
+        return self.inner.merge(plan, reports)
+
+
+class TestExactlyOnceTelemetry:
+    def test_timed_out_attempt_is_not_counted(self, engine, starts):
+        """A retried shard's metrics equal a clean run's, stale attempt included."""
+        plan = plan_run("fpga-model", UniformWalk(), 4, starts, shards=2, seed=3)
+
+        def snapshot(backend, retry):
+            obs = Observer()
+            with use_observer(obs):
+                outcome = BatchScheduler(mode="thread", retry=retry).execute(backend, plan)
+            return obs, outcome
+
+        clean_obs, clean = snapshot(
+            create_backend("fpga-model", engine.runtime_context()), RetryPolicy()
+        )
+        slow = _SlowFirstAttempt(
+            create_backend("fpga-model", engine.runtime_context()), delay_s=0.5
+        )
+        obs, outcome = snapshot(slow, RetryPolicy(max_attempts=2, shard_timeout_s=0.2))
+        assert slow.stale_done.wait(30), "the stale attempt never finished"
+        time.sleep(0.05)  # let the watchdog thread return past the backend call
+        assert outcome.ok and outcome.retries == 1
+        np.testing.assert_array_equal(outcome.report.paths, clean.report.paths)
+        assert obs.metrics.total("run.retries") == 1
+        retried = {k: v for k, v in obs.metrics.snapshot().items()
+                   if not k.startswith("run.retries")}
+        assert retried == clean_obs.metrics.snapshot()
+
+
+class TestDeterministicErrors:
+    @pytest.mark.parametrize("error", [ConfigError("bad config"), QueryError("bad query")])
+    def test_library_error_gets_one_attempt(self, engine, starts, error):
+        plan = plan_run("fpga-model", UniformWalk(), 4, starts, shards=2, seed=3)
+        backend = _RaisesOnShard(
+            create_backend("fpga-model", engine.runtime_context()), error
+        )
+        obs = Observer()
+        with use_observer(obs):
+            outcome = BatchScheduler(
+                retry=RetryPolicy(max_attempts=3), strict=False
+            ).execute(backend, plan)
+        (failure,) = outcome.failures
+        assert backend.attempts == 1
+        assert failure.attempts == 1 and failure.error_type == type(error).__name__
+        assert outcome.retries == 0
+        assert obs.metrics.total("run.retries") == 0
+
+    def test_unexpected_error_is_still_retried(self, engine, starts):
+        plan = plan_run("fpga-model", UniformWalk(), 4, starts, shards=2, seed=3)
+        backend = _RaisesOnShard(
+            create_backend("fpga-model", engine.runtime_context()), RuntimeError("crash")
+        )
+        outcome = BatchScheduler(
+            retry=RetryPolicy(max_attempts=3), strict=False
+        ).execute(backend, plan)
+        assert backend.attempts == 3
+        assert outcome.failures[0].attempts == 3 and outcome.retries == 2
+
+    def test_cycle_backend_without_wrs_fails_at_plan_time(self, labeled_graph, starts):
+        with pytest.raises(ConfigError, match="use_wrs=False"):
+            plan_run("fpga-cycle", UniformWalk(), 4, starts[:8], use_wrs=False)
+        engine = LightRW(
+            labeled_graph, backend="fpga-cycle", config=LightRWConfig(use_wrs=False)
+        )
+        # A plan-time error, not a degraded partial result.
+        with pytest.raises(ConfigError, match="use_wrs=False"):
+            engine.run(UniformWalk(), 4, starts=starts[:8], shards=2, strict=False)
